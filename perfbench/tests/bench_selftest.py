@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,26 @@ def test_planted_wrong_reduce_output_raises_fail_rate():
     assert result["failed"] >= 1
     assert not result["correct"]
     assert result["metrics"]["fail_rate"]["value"] > 0
+
+
+def _stuck_program(comm):
+    with workloads._stoppable():
+        while True:
+            time.sleep(0.001)
+
+
+def test_a_job_past_its_deadline_is_stopped_and_counted_failed():
+    n = 1 << 12
+    workload = workloads.BatchReduceProc(3, sizes=(n,))
+    ctx = workloads.Context(workloads.PES, backend=workload.backend)
+    t0 = time.perf_counter()
+    results, why = workload._spmd(ctx, _stuck_program, n, None, ())
+    elapsed = time.perf_counter() - t0
+    assert results is None
+    assert "deadline" in why
+    # SIGTERM stopped the job, not the kill that follows it.
+    assert elapsed < workloads.batch_deadline_s(n) + workloads.BATCH_KILL_S / 2
+    assert workloads.shm_segments() <= workload.shm_before
 
 
 def _traced_entry_points() -> dict:

@@ -29,6 +29,7 @@ import ctypes
 import gc
 import multiprocessing
 import os
+import signal
 import statistics
 import threading
 import time
@@ -54,9 +55,18 @@ STREAM_ELEMENTS = 1 << 22
 #: ``checked_reduce_by_key`` has no default config; this is the streaming one.
 BATCH_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 BATCH_SIZES = tuple(1 << e for e in range(12, 21))
+#: Job latency counts the sizes up to this one: a job this small is mostly
+#: the fixed cost of a ``Context.run``, and its frames fit the ring, so the
+#: figure compares commits whether or not the larger sizes complete.
+BATCH_LATENCY_MAX = 1 << 15
 #: Seconds one job of every size took at the commit that introduced the
 #: benchmark, deadline waits included; a run holds ``seconds`` of them.
-BATCH_SWEEP_S = 2.8
+BATCH_SWEEP_S = 2.0
+#: Untimed jobs run this long before a phase: the first jobs after set-up
+#: run up to 3x slower.
+BATCH_WARM_S = 0.5
+#: Seconds after ``SIGTERM`` at a job's deadline before its workers are killed.
+BATCH_KILL_S = 1.0
 SERVICE_CHUNK = 1 << 14
 SERVICE_CHUNKS_PER_WINDOW = 4
 SERVICE_FAULT_RATE = 0.2
@@ -72,7 +82,11 @@ SERVICE_RATE = 240.0
 #: Length of one service segment (its tenants' inputs live in memory).
 SERVICE_SEGMENT_S = 5.0
 #: The generator polls ``stats()`` at this fixed interval while it waits.
-POLL_S = 0.005
+#: At 5 ms five polls would span exactly six sends, so a window's wait for
+#: the poll that sees it settle could take only three values, and p50
+#: would jump between them as the host's speed drifts; at 4.7 ms the waits
+#: spread evenly over the interval.
+POLL_S = 0.0047
 #: A service window not settled this long after the last send missed its
 #: deadline and counts as failed.
 SERVICE_DRAIN_S = 30.0
@@ -81,11 +95,11 @@ SERVICE_DRAIN_S = 30.0
 def batch_deadline_s(elements: int) -> float:
     """Per-job deadline owned by the benchmark.
 
-    About three times what the job takes when its exchange does not
-    deadlock (~30 ms plus ~0.27 us per element on two cores, measured with
-    a ring large enough for every frame).
+    At least twice what the job takes when its exchange does not deadlock
+    (~30 ms plus ~0.27 us per element on two cores, measured with a ring
+    large enough for every frame), and at least 100 ms.
     """
-    return 0.15 + 0.8e-6 * elements
+    return 0.1 + 0.5e-6 * elements
 
 
 def latency_ms(latencies_s, cap_s: float = float("inf")) -> tuple[float, float]:
@@ -418,24 +432,52 @@ class StreamZip(_ClosedLoop):
 # ---------------------------------------------------------------------------
 
 
+class DeadlineExpired(BaseException):
+    """Raised in a job's worker when the job's deadline stops it.
+
+    Not an ``Exception``, so no handler in the program catches it.
+    """
+
+
+def _expire(signum, frame):
+    raise DeadlineExpired("stopped at the job's deadline")
+
+
+@contextlib.contextmanager
+def _stoppable():
+    """In a job's worker: ``SIGTERM`` stops the job until its result is ready.
+
+    Once the job function is done, ``SIGTERM`` is ignored: a worker stopped
+    while it sends its result back would leave half a message in the result
+    pipe, and the parent would wait for the rest forever.
+    """
+    signal.signal(signal.SIGTERM, _expire)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
 def _batch_program(comm, keys, values, seed, tracer, job):
-    if tracer is not None:
-        tracer.reset_for_child()
-        tracer.begin_track(comm.rank, window=job)
-    entry = time.perf_counter()
-    out_k, out_v, verdict, _ = checked_reduce_by_key(
-        comm, keys, values, BATCH_CONFIG, seed=seed
-    )
-    leave = time.perf_counter()
-    tracks = None
-    if tracer is not None:
-        tracer.end_track()
-        tracks = tracer.export_tracks()
+    with _stoppable():
+        if tracer is not None:
+            tracer.reset_for_child()
+            tracer.begin_track(comm.rank, window=job)
+        entry = time.perf_counter()
+        out_k, out_v, verdict, _ = checked_reduce_by_key(
+            comm, keys, values, BATCH_CONFIG, seed=seed
+        )
+        leave = time.perf_counter()
+        tracks = None
+        if tracer is not None:
+            tracer.end_track()
+            tracks = tracer.export_tracks()
     return out_k, out_v, bool(verdict.accepted), entry, leave, tracks
 
 
 def _batch_op_program(comm, keys, values):
-    return reduce_by_key(comm, keys, values)
+    with _stoppable():
+        return reduce_by_key(comm, keys, values)
 
 
 def shm_segments() -> set[str]:
@@ -480,27 +522,40 @@ class BatchReduceProc:
         """One deadline-bounded ``Context.run``.
 
         Returns ``(results, None)``, or ``(None, why)`` when the job raised
-        or missed its deadline; at the deadline the job's worker processes
-        are killed, which makes ``Context.run`` raise ``SPMDError``.
+        or missed its deadline.  At the deadline the job's worker processes
+        get ``SIGTERM``, which stops a job still running (``Context.run``
+        raises ``SPMDError``); a worker that does not end within
+        :data:`BATCH_KILL_S` more is killed.
         """
         expired = threading.Event()
 
-        def kill_workers() -> None:
+        def stop_workers(kill: bool) -> None:
             expired.set()
             for proc in multiprocessing.active_children():
-                proc.kill()
+                if kill:
+                    proc.kill()
+                else:
+                    proc.terminate()
 
-        timer = threading.Timer(batch_deadline_s(n), kill_workers)
-        timer.start()
+        deadline = batch_deadline_s(n)
+        timers = [
+            threading.Timer(deadline, stop_workers, (False,)),
+            threading.Timer(deadline + BATCH_KILL_S, stop_workers, (True,)),
+        ]
+        for timer in timers:
+            timer.start()
+        why = None
         try:
-            return ctx.run(program, per_rank_args=args, common_args=common), None
+            results = ctx.run(program, per_rank_args=args, common_args=common)
         except SPMDError as exc:
-            if expired.is_set():
-                return None, f"missed its {batch_deadline_s(n):.2f} s deadline"
-            return None, f"raised {exc}"
+            results, why = None, f"raised {exc}"
         finally:
-            timer.cancel()
-            timer.join()
+            for timer in timers:
+                timer.cancel()
+                timer.join()
+        if expired.is_set():
+            return None, f"missed its {deadline:.2f} s deadline"
+        return results, why
 
     def warm_up(self) -> None:
         ctx = Context(PES, backend=self.backend)
@@ -509,22 +564,23 @@ class BatchReduceProc:
         self._spmd(ctx, _batch_program, keys.size, args, (0, None, -1))
 
     def run(self, seconds: float, tracer=None) -> Phase:
-        """``rounds`` jobs of every size, grouped by size, smallest first.
+        """``rounds`` rounds, each one job of every size, smallest first.
 
-        A job that deadlocks waits out its deadline with the CPUs nearly
-        idle, and the jobs right after such a wait run up to 1.6x slower
-        while the CPUs wake up.  Grouping by size keeps the completing
-        sizes back to back, ahead of the sizes that deadlock.  A unit of
-        work is one job of every size.
+        Cycling through the sizes spreads each size's jobs over the whole
+        phase, so a spell of slow host time moves a few jobs of every size
+        instead of all jobs of one.  A unit of work is one round.
         """
+        until = time.perf_counter() + BATCH_WARM_S
+        while time.perf_counter() < until:
+            self.warm_up()
         rounds = max(1, round(seconds / BATCH_SWEEP_S))
         phase = Phase(units=rounds)
         phase.extra = {"jobs": [], "spawn_ms": [], "teardown_ms": []}
         bytes_per_pe = np.zeros(PES, dtype=np.int64)
         first = self._round
         self._round += rounds
-        for n in self.sizes:
-            for r in range(first, first + rounds):
+        for r in range(first, first + rounds):
+            for n in self.sizes:
                 job = len(phase.extra["jobs"])
                 keys, values = self.job_input(derive_seed(self.seed, "job", r, n), n)
                 ctx = Context(PES, backend=self.backend)
@@ -561,7 +617,8 @@ class BatchReduceProc:
         timed = [j for j in phase.extra["jobs"] if j["ok"]]
         per_round: dict = {}
         for job in timed:
-            per_round.setdefault(job["round"], []).append(job["wall_s"])
+            if job["n"] <= BATCH_LATENCY_MAX:
+                per_round.setdefault(job["round"], []).append(job["wall_s"])
         phase.latency_ms = unit_latency_ms(
             [(walls, float("inf")) for walls in per_round.values()]
         )
