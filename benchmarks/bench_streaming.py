@@ -1,8 +1,8 @@
 """Streaming checker path vs the batch path — the chunked-feed price.
 
-The PR's acceptance gate: feeding the §4 checker 64k-element chunks
-through :class:`~repro.core.streams.SumCheckerStream` (condensed
-accumulation, one settle) must stay within 1.5× of the batch checker's
+The acceptance gate: feeding the §4 checker 64k-element chunks through
+:class:`~repro.core.streams.SumCheckerStream` (each chunk hashed into the
+running tables, one settle) must stay within 1.5× of the batch checker's
 per-element cost at n = 10^6.  Three sections, written to
 ``BENCH_streaming.json``:
 

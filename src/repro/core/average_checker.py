@@ -24,10 +24,8 @@ import numpy as np
 
 from repro.core.base import CheckResult
 from repro.core.multiseed import MultiSeedSumChecker
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
 from repro.core.sum_checker import SumAggregationChecker, _coerce_keys
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
 def reconstruct_sums(
@@ -78,7 +76,7 @@ def check_average_aggregation(
     reconstruction is componentwise, so averages and counts only need to be
     co-located per key (exactly the paper's requirement).
     """
-    cfg = config or _DEFAULT_CONFIG
+    cfg = config or DEFAULT_CONFIG
     in_keys, in_values = input_kv
     in_keys = _coerce_keys(in_keys)
     in_values = np.asarray(in_values, dtype=np.int64).ravel()
@@ -164,7 +162,7 @@ def check_average_aggregation_multiseed(
     (``details["per_seed_accepted"]``) equal ``T`` independent
     :func:`check_average_aggregation` calls.
     """
-    cfg = config or _DEFAULT_CONFIG
+    cfg = config or DEFAULT_CONFIG
     in_keys, in_values = input_kv
     in_keys = _coerce_keys(in_keys)
     in_values = np.asarray(in_values, dtype=np.int64).ravel()

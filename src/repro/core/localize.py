@@ -383,10 +383,8 @@ def localize_fault(
     """Localize a failed Theorem 1 verdict to key range(s) and PE(s).
 
     ``input_side`` / ``asserted_side`` are ``(keys, values)`` pairs or
-    already-built :class:`CondensedKV` sides — pass the condensations the
-    failed check retained (e.g. a settled
-    :class:`~repro.core.streams.SumCheckerStream`'s) and localization
-    never re-reads a chunk.  ``seeds`` follows the multi-seed checker
+    already-built :class:`CondensedKV` sides (e.g. a rejected window's
+    chunks and output, condensed once).  ``seeds`` follows the multi-seed checker
     convention (scalar or array; more seeds → sharper bucket filter).
 
     All PEs must call collectively.  The return value is replicated:

@@ -26,10 +26,8 @@ import numpy as np
 
 from repro.core.base import CheckResult
 from repro.core.multiseed import MultiSeedSumChecker
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
 from repro.core.sum_checker import SumAggregationChecker, _coerce_keys
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
 @dataclass
@@ -129,7 +127,7 @@ def check_median_aggregation(
     The asserted result (and certificate, if values repeat) must be the
     full result, identical at every PE.  Cost: O(T_check-sum(n, p, δ)).
     """
-    cfg = config or _DEFAULT_CONFIG
+    cfg = config or DEFAULT_CONFIG
     if input_uids is None:
         input_uids = np.zeros(np.asarray(input_keys).size, dtype=np.int64)
     keys, contrib, structurally_ok = signed_contributions(
@@ -185,7 +183,7 @@ def check_median_aggregation_multiseed(
     Per-seed verdicts equal ``T`` independent
     :func:`check_median_aggregation` calls.
     """
-    cfg = config or _DEFAULT_CONFIG
+    cfg = config or DEFAULT_CONFIG
     if input_uids is None:
         input_uids = np.zeros(np.asarray(input_keys).size, dtype=np.int64)
     keys, contrib, structurally_ok = signed_contributions(

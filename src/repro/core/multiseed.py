@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.base import CheckResult
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
 from repro.core.sum_checker import (
     _CHUNK_BITS,
     _coerce_keys,
@@ -637,8 +637,6 @@ class MultiSeedHashSumChecker:
 # Convenience wrappers (multi-seed forms of the sum_checker module's)
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
-
 
 def check_sum_aggregation_multiseed(
     input_kv,
@@ -654,7 +652,7 @@ def check_sum_aggregation_multiseed(
     independent :func:`~repro.core.sum_checker.check_sum_aggregation`
     calls; accepted iff every seed accepts (failure probability δ^T).
     """
-    checker = MultiSeedSumChecker(config or _DEFAULT_CONFIG, seeds, operator)
+    checker = MultiSeedSumChecker(config or DEFAULT_CONFIG, seeds, operator)
     if comm is None:
         return checker.check_local(input_kv, asserted_kv)
     return checker.check_distributed(comm, input_kv, asserted_kv)

@@ -113,6 +113,11 @@ class SumCheckConfig:
         return SumCheckConfig(self.iterations, self.d, self.rhat, family)
 
 
+#: The configuration every sum-family checker, pipeline and service tenant
+#: falls back to when none is given: 8x16 Mix m15.
+DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
+
+
 def optimize_parameters(
     message_bits: int, delta: float, max_log_rhat: int = 40
 ) -> SumCheckConfig:

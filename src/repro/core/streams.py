@@ -19,20 +19,21 @@ A stream settles **exactly once**: feeding after settle or settling twice
 raises ``RuntimeError`` uniformly (the distributed settle runs a metered
 reduction, so silently re-running it would double-count network traffic).
 
-All streams fold chunks into the *condensed* aggregates of
-:mod:`repro.core.multiseed` (:func:`condense_kv` per-key aggregates for the
-sum family, :func:`condense_side` (uniques, counts) pairs for the
-permutation family), so memory stays O(unique keys) regardless of how many
-chunks stream through, and verdicts are **bit-identical** to the batch
-checker fed the concatenated input (the minireduction table and the
-hash-sum fingerprint are linear in the multiset of pairs/elements).
-Multi-seed variants ride the same condensed state: pass an array of seeds
-where a scalar is accepted and all ``T`` lanes evaluate against the one
-condensation.  The retained condensations are also what adaptive
-escalation reuses (:meth:`SumCheckerStream.settle_adaptive`) — escalating
-to ``T`` fresh seeds never re-reads a chunk.
+The single-seed sum and count streams fold each chunk straight into the
+``(iterations, d)`` minireduction tables of Algorithm 1 as it arrives:
+state O(iterations·d), no per-key work.  The other streams fold chunks
+into the *condensed* aggregates of :mod:`repro.core.multiseed`
+(:class:`StreamedKV` per-key aggregates for the multi-seed sum, average
+and median family, :class:`StreamedSide` (uniques, counts) pairs for the
+permutation family), so memory stays O(unique keys) regardless of how
+many chunks stream through.  Either way verdicts are **bit-identical**
+to the batch checker fed the concatenated input (the minireduction table
+and the hash-sum fingerprint are linear in the multiset of
+pairs/elements).  Multi-seed variants ride the condensed state: pass an
+array of seeds where a scalar is accepted and all ``T`` lanes evaluate
+against the one condensation.
 
-The zip checker is the one exception to condensation: its fingerprint is
+The zip checker condenses nothing either: its fingerprint is
 *positional* (order-sensitive), so :class:`ZipCheckerStream` instead
 accumulates the running inner-product fingerprints chunk by chunk — state
 O(seeds · iterations), one allreduce at settle (versus one per iteration
@@ -54,7 +55,7 @@ from repro.core.multiseed import (
     _coerce_seeds,
     condense_kv,
 )
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
 from repro.core.permutation_checker import _as_sequences
 from repro.core.sum_checker import (
     _CHUNK_BITS,
@@ -67,7 +68,6 @@ from repro.core.zip_checker import MERSENNE31, positional_fingerprint
 from repro.kernels import get_kernels
 from repro.util.rng import derive_seed, derive_seed_array
 
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 _INT64_LIMIT = 1 << 63
 _INT64_MAX = np.iinfo(np.int64).max
 _SETTLED_MSG = "stream already settled"
@@ -382,66 +382,50 @@ def _as_seed_array(seeds) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-class _CondensingSumStream(CheckerStream):
-    """Shared feed layer of the sum-family streams: two StreamedKV sides."""
-
-    def __init__(self, operator: str):
-        super().__init__()
-        self._input = StreamedKV(operator)
-        self._output = StreamedKV(operator)
-
-    def feed_input(self, keys, values) -> None:
-        """Account a chunk of the operation's input stream."""
-        self._ensure_open()
-        self._input.fold(keys, values)
-
-    def feed_output(self, keys, values) -> None:
-        """Account a chunk of the asserted output stream."""
-        self._ensure_open()
-        self._output.fold(keys, values)
-
-    @property
-    def elements_fed(self) -> int:
-        """Input-side elements folded so far (the stream's consumption)."""
-        return self._input.elements
-
-    def condensed_input(self) -> CondensedKV:
-        return self._input.condensed()
-
-    def condensed_output(self) -> CondensedKV:
-        return self._output.condensed()
-
-
-class SumCheckerStream(_CondensingSumStream):
-    """Streaming facade over :class:`SumAggregationChecker`.
+class SumCheckerStream(CheckerStream):
+    """Streaming facade over :class:`SumAggregationChecker` (Algorithm 1).
 
     Thrill forwards elements to the checker *as they pass through* the
     reduction (§7); this class mirrors that integration style: feed input
     pairs and output pairs in arbitrary chunk order, then settle the
-    verdict once.  Chunks fold into exact per-key aggregates (the
-    minireduction table is linear in the multiset of pairs, so condensed
-    accumulation is verdict-identical to the batch checker), which is also
-    what :meth:`settle_adaptive` escalation reuses.
+    verdict once.  Each chunk is hashed straight into its side's running
+    ``(iterations, d)`` table as it arrives — one hash and one add per
+    element, as in Algorithm 1 — and folded in with
+    :meth:`SumAggregationChecker.combine`.  The table is linear mod r (a
+    xor-homomorphism for ``xor``), so the running table is bit-identical
+    to the batch checker's table of the concatenated feed and every
+    verdict matches it.
 
-    Memory is O(unique keys) between feeds — deliberately richer than a
-    direct O(iterations·d) table fold would be: the retained condensation
-    is what lets multi-seed lanes and adaptive escalation run against the
-    stream without ever re-reading a chunk.  Feeds over an unbounded key
-    universe should settle in windows (see
-    :mod:`repro.dataflow.streaming`) rather than grow one stream forever.
+    State is the two tables, O(iterations·d) regardless of how many keys
+    stream through.  Nothing per-key is retained: the rare consumers of
+    exact per-key aggregates — adaptive escalation
+    (:meth:`settle_adaptive`) and fault localization — condense the
+    window's pairs themselves, and only when they run.
     """
 
     def __init__(self, checker: SumAggregationChecker):
-        super().__init__(checker.operator)
+        super().__init__()
         self.checker = checker
+        shape = (checker.config.iterations, checker.config.d)
+        self.input_table = np.zeros(shape, dtype=np.int64)
+        self.output_table = np.zeros(shape, dtype=np.int64)
+        self.elements_fed = 0
 
-    def _tables(self, streamed: StreamedKV) -> np.ndarray:
-        return self.checker.local_tables(*streamed.pairs())
+    def feed_input(self, keys, values) -> None:
+        """Hash a chunk of the operation's input into the input table."""
+        self._ensure_open()
+        table = self.checker.local_tables(keys, values)
+        self.input_table = self.checker.combine(self.input_table, table)
+        self.elements_fed += int(np.size(keys))
+
+    def feed_output(self, keys, values) -> None:
+        """Hash a chunk of the asserted output into the output table."""
+        self._ensure_open()
+        table = self.checker.local_tables(keys, values)
+        self.output_table = self.checker.combine(self.output_table, table)
 
     def _settle(self, comm) -> CheckResult:
-        diff = self.checker.difference(
-            self._tables(self._input), self._tables(self._output)
-        )
+        diff = self.checker.difference(self.input_table, self.output_table)
         if comm is None:
             verdict = not np.any(diff)
         else:
@@ -467,27 +451,29 @@ class SumCheckerStream(_CondensingSumStream):
             },
         )
 
-    def settle_adaptive(self, policy, comm=None) -> CheckResult:
-        """Settle with 1-seed primary + policy escalation, zero re-reads.
+    def settle_adaptive(self, policy, comm=None, *, sides) -> CheckResult:
+        """Settle with a 1-seed primary from the tables + policy escalation.
 
-        The window's condensed aggregates serve both the primary verdict
-        and any escalation lanes — the streaming form of the
-        condensed-reuse contract of
-        :func:`repro.dataflow.pipeline.adaptive_sum_check` (imported
+        The primary verdict comes straight from the running tables.  The
+        escalation lanes need exact per-key aggregates, which the stream
+        does not keep: ``sides()`` must return the ``(input, asserted)``
+        sides as ``(keys, values)`` pairs or
+        :class:`~repro.core.multiseed.CondensedKV`, and is called only
+        when the policy escalates (see
+        :func:`repro.dataflow.pipeline.adaptive_sum_settle`, imported
         lazily: core stays import-independent of the dataflow layer).
         """
         self._ensure_open()
         self._settled = True
-        from repro.dataflow.pipeline import adaptive_sum_check
+        from repro.dataflow.pipeline import adaptive_sum_settle
 
-        return adaptive_sum_check(
-            self._input.condensed(),
-            self._output.condensed(),
-            self.checker.config,
-            seed=self.checker.seed,
-            policy=policy,
-            comm=comm,
-            operator=self.checker.operator,
+        checker = self.checker
+        primary = MultiSeedSumChecker(
+            checker.config, [checker.seed], checker.operator
+        )
+        diff = checker.difference(self.input_table, self.output_table)
+        return adaptive_sum_settle(
+            primary, diff[None], sides, checker.seed, policy, comm
         )
 
 
@@ -675,10 +661,10 @@ class MultiSeedSumCheckerStream(CheckerStream):
     (no second condensed-keys traversal at settle).  ``fused=True``
     forces chunk-at-a-time table folding, ``fused=False`` the legacy
     always-condense behaviour (required by consumers of
-    :meth:`condensed_input` / :meth:`condensed_output`, e.g. adaptive
-    escalation).  Either way the distributed settle is a single packed
-    collective, and per-seed verdicts are bit-identical to ``T``
-    independent ``SumCheckerStream`` instances fed the same chunks.
+    :meth:`condensed_input` / :meth:`condensed_output`).  Either way the
+    distributed settle is a single packed collective, and per-seed
+    verdicts are bit-identical to ``T`` independent ``SumCheckerStream``
+    instances fed the same chunks.
     """
 
     def __init__(self, checker: MultiSeedSumChecker, fused="auto"):
@@ -738,8 +724,8 @@ class CountCheckerStream(CheckerStream):
         if getattr(checker, "operator", "+") != "+":
             raise ValueError("count aggregation requires operator '+'")
         if isinstance(checker, MultiSeedSumChecker):
-            self._inner: _CondensingSumStream = MultiSeedSumCheckerStream(
-                checker
+            self._inner: SumCheckerStream | MultiSeedSumCheckerStream = (
+                MultiSeedSumCheckerStream(checker)
             )
         elif isinstance(checker, SumAggregationChecker):
             self._inner = SumCheckerStream(checker)
@@ -785,7 +771,7 @@ class AverageCheckerStream(CheckerStream):
 
     def __init__(self, seeds, config: SumCheckConfig | None = None):
         super().__init__()
-        self.config = config or _DEFAULT_CONFIG
+        self.config = config or DEFAULT_CONFIG
         seed_arr, self._scalar = _as_seed_array(seeds)
         self.checker = MultiSeedSumChecker(self.config, seed_arr)
         self._in_values = StreamedKV()

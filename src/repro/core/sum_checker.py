@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CheckResult
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
 from repro.hashing.bitgroups import BucketAssigner
 from repro.hashing.families import get_family
 from repro.kernels import get_kernels
@@ -358,9 +358,8 @@ class SumAggregationChecker:
 
 def __getattr__(name: str):
     # Back-compat: SumCheckerStream moved to repro.core.streams when the
-    # CheckerStream protocol was extracted (it now folds chunks into
-    # condensed per-key aggregates).  Lazy so the two modules stay free of
-    # an import cycle.
+    # CheckerStream protocol was extracted.  Lazy so the two modules stay
+    # free of an import cycle.
     if name == "SumCheckerStream":
         from repro.core.streams import SumCheckerStream
 
@@ -371,8 +370,6 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 # Convenience wrappers
 # ---------------------------------------------------------------------------
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
 def check_sum_aggregation(
@@ -388,7 +385,7 @@ def check_sum_aggregation(
     ``input_kv`` and ``asserted_kv`` are ``(keys, values)`` array pairs
     (the local slices when running under a communicator).
     """
-    checker = SumAggregationChecker(config or _DEFAULT_CONFIG, seed, operator)
+    checker = SumAggregationChecker(config or DEFAULT_CONFIG, seed, operator)
     if comm is None:
         return checker.check_local(input_kv, asserted_kv)
     return checker.check_distributed(comm, input_kv, asserted_kv)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.comm import ops
 from repro.core.base import CheckResult
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
 from repro.core.sort_checker import check_globally_sorted, check_sort
 from repro.core.sum_checker import check_sum_aggregation
 from repro.core.union_checker import check_union
@@ -49,8 +49,6 @@ from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.sort import sample_sort
 from repro.dataflow.ops.union import union_arrays
 from repro.dataflow.ops.zip_op import zip_arrays
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
 class DIA:
@@ -269,7 +267,7 @@ class KeyValueDIA:
             verdict = adaptive_sum_check(
                 (self.keys, self.values),
                 (k, v),
-                config or _DEFAULT_CONFIG,
+                config or DEFAULT_CONFIG,
                 seed=seed,
                 policy=policy,
                 comm=self.comm,
@@ -278,7 +276,7 @@ class KeyValueDIA:
             verdict = check_sum_aggregation(
                 (self.keys, self.values),
                 (k, v),
-                config or _DEFAULT_CONFIG,
+                config or DEFAULT_CONFIG,
                 seed=seed,
                 comm=self.comm,
             )

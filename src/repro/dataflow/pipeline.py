@@ -9,9 +9,10 @@ path (the experiment harness does exactly that).
 :class:`AdaptiveCheckPolicy` adds the "verify cheaply first, escalate on
 suspicion" layer: every checked operation runs ONE seed inline and
 re-checks under ``T`` escalation seeds only when the primary verdict fails
-(or unconditionally, for a hardened δ^T run).  Escalation reuses the
-condensed unique-key aggregates the primary check already built, so it
-never takes a second pass over the raw data.
+(or unconditionally, for a hardened δ^T run).  Escalation evaluates its
+seed lanes against condensed unique-key aggregates: the batch checks reuse
+the condensation their primary check built, the windowed streams (whose
+primary check keeps only tables) condense the window once on escalation.
 """
 
 from __future__ import annotations
@@ -240,6 +241,12 @@ def _adaptive_details(
     }
 
 
+def _as_condensed(side, operator: str) -> CondensedKV:
+    if isinstance(side, CondensedKV):
+        return side
+    return condense_kv(*side, operator)
+
+
 def adaptive_sum_check(
     input_side,
     asserted_side,
@@ -260,23 +267,40 @@ def adaptive_sum_check(
     verdict is globally agreed before the escalation decision, so all PEs
     escalate together.
     """
-    policy = policy or AdaptiveCheckPolicy()
-    cin = (
-        input_side
-        if isinstance(input_side, CondensedKV)
-        else condense_kv(*input_side, operator)
-    )
-    cout = (
-        asserted_side
-        if isinstance(asserted_side, CondensedKV)
-        else condense_kv(*asserted_side, operator)
-    )
+    cin = _as_condensed(input_side, operator)
+    cout = _as_condensed(asserted_side, operator)
     primary = MultiSeedSumChecker(config, [seed], operator)
     diff = primary.difference(
         primary.local_tables_condensed(cin),
         primary.local_tables_condensed(cout),
     )
-    primary_ok = primary.per_seed_verdicts(diff, comm)[0]
+    return adaptive_sum_settle(
+        primary, diff, lambda: (cin, cout), seed, policy, comm
+    )
+
+
+def adaptive_sum_settle(
+    primary: MultiSeedSumChecker,
+    primary_diff: np.ndarray,
+    sides,
+    seed: int,
+    policy: AdaptiveCheckPolicy | None = None,
+    comm=None,
+) -> CheckResult:
+    """Settle a primary-seed table difference, escalating per ``policy``.
+
+    ``primary`` is the one-seed checker for ``seed`` and ``primary_diff``
+    this PE's ``(1, iterations, d)`` ⊕-difference of its input and
+    asserted tables — e.g. straight from a
+    :class:`~repro.core.streams.SumCheckerStream`'s running tables.
+    ``sides()`` returns the ``(input, asserted)`` sides, each a
+    ``(keys, values)`` pair or a
+    :class:`~repro.core.multiseed.CondensedKV`, and is called only when
+    the policy escalates: the common accepted path condenses nothing.
+    """
+    policy = policy or AdaptiveCheckPolicy()
+    config, operator = primary.config, primary.operator
+    primary_ok = primary.per_seed_verdicts(primary_diff, comm)[0]
 
     roots = policy.resolve_seeds(seed)
     escalated = policy.should_escalate(primary_ok)
@@ -284,6 +308,7 @@ def adaptive_sum_check(
     escalation_seconds = 0.0
     if escalated:
         t0 = time.perf_counter()
+        cin, cout = (_as_condensed(side, operator) for side in sides())
         esc = MultiSeedSumChecker(config, roots, operator)
         esc_diff = esc.difference(
             esc.local_tables_condensed(cin),

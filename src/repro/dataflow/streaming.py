@@ -7,14 +7,14 @@ global materialization), and every checked operation processes the stream
 in **windows** of ``chunks_per_window`` chunks:
 
 * chunks are forwarded to a :mod:`repro.core.streams` checker stream *as
-  they arrive* (the checker folds them into condensed per-key aggregates —
-  memory O(unique keys per window));
+  they arrive* (the checker hashes them straight into its minireduction
+  tables — checker state O(iterations·d));
 * the operation itself runs once per window (local pre-aggregation also
   happens chunk-at-a-time);
 * the verdict **settles once per window** — one data-bearing collective
   per window, not per chunk — and with an
   :class:`~repro.dataflow.pipeline.AdaptiveCheckPolicy` the escalation
-  lanes reuse the window's condensed aggregates (no chunk is re-read).
+  lanes run against the window's chunks, condensed once on escalation.
 
 Per-window :class:`~repro.dataflow.pipeline.CheckedRunStats` accumulate
 into a run-level record (``windows``, ``elements_fed``, merged overhead
@@ -32,6 +32,7 @@ settling.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -40,9 +41,13 @@ import numpy as np
 from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.localize import FaultReport, localize_fault
-from repro.core.params import SumCheckConfig
-from repro.core.streams import SumCheckerStream, ZipCheckerStream
-from repro.core.sum_checker import SumAggregationChecker
+from repro.core.params import DEFAULT_CONFIG, SumCheckConfig
+from repro.core.streams import StreamedKV, SumCheckerStream, ZipCheckerStream
+from repro.core.sum_checker import (
+    SumAggregationChecker,
+    _coerce_values,
+    _magnitude_bound,
+)
 from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
 from repro.dataflow.pipeline import AdaptiveCheckPolicy, CheckedRunStats
@@ -54,8 +59,6 @@ from repro.dataflow.repair import (
     repair_zip_window,
 )
 from repro.util.rng import derive_seed, derive_seed_array
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
 @dataclass
@@ -202,9 +205,9 @@ class StreamingDIA(_ChunkSource):
         """Windowed global sum with the §4 checker (key 0 for all elements).
 
         Each window's output is the window's global total; the checker
-        sees every element as a ``(0, value)`` pair (condensed state is a
-        single key) and the asserted total as a single output pair on
-        PE 0.  One settle per window.
+        sees each chunk as one ``(0, Σchunk)`` pair (table-identical to
+        its ``(0, value)`` pairs) and the asserted total as a single
+        output pair on PE 0.  One settle per window.
 
         A ``reexecute(window_id, key_ranges)`` callback heals rejected
         windows like :meth:`StreamingKeyValueDIA.reduce_by_key_checked`
@@ -215,7 +218,7 @@ class StreamingDIA(_ChunkSource):
         seeds, with a :class:`~repro.dataflow.repair.QuarantinedWindow`
         on exhaustion.
         """
-        config = config or _DEFAULT_CONFIG
+        config = config or DEFAULT_CONFIG
         run = StreamingCheckedRun()
         w = 0
         while True:
@@ -331,15 +334,16 @@ class StreamingKeyValueDIA(_ChunkSource):
     ) -> StreamingCheckedRun:
         """Windowed ReduceByKey + Theorem 1 checker, one settle per window.
 
-        Every chunk is (a) folded into the window's checker stream and
-        (b) locally pre-aggregated — both O(unique keys) — then the window
-        runs one key-partitioned exchange and settles one verdict.  With a
-        ``policy`` the settle is adaptive: 1 seed inline, escalation lanes
-        evaluated against the window's already-condensed aggregates.
+        Every chunk is (a) hashed into the window's checker tables and
+        (b) locally pre-aggregated, then the window runs one
+        key-partitioned exchange and settles one verdict.  With a
+        ``policy`` the settle is adaptive: 1 seed inline from the tables,
+        escalation lanes evaluated against the window's chunks, condensed
+        once when the policy escalates.
 
         With a ``reexecute(window_id, key_ranges)`` callback (see
         :mod:`repro.dataflow.repair` for the contract) a rejected window
-        is localized against the stream's retained condensations, then
+        is localized against a condensation of its chunks, then
         repaired under bounded retry and either healed in place (its
         output and verdict replaced by the accepted re-execution) or
         appended to ``run.quarantined`` — subsequent windows settle
@@ -348,7 +352,7 @@ class StreamingKeyValueDIA(_ChunkSource):
         ``reexecute`` is given); the callback must be supplied on every
         PE or none, like any other collective argument.
         """
-        config = config or _DEFAULT_CONFIG
+        config = config or DEFAULT_CONFIG
         run = StreamingCheckedRun()
         w = 0
         while True:
@@ -431,6 +435,41 @@ class StreamingKeyValueDIA(_ChunkSource):
 # heals).
 
 
+def _condense(chunks):
+    """Exact per-key condensation of ``(keys, values)`` chunks."""
+    kv = StreamedKV()
+    for keys, values in chunks:
+        kv.fold(keys, values)
+    return kv.condensed()
+
+
+def _condensations(input_chunks, output_chunks):
+    """``() -> (input, output)`` condensations of a window, built once.
+
+    A window's checker stream keeps only its tables.  The rare paths that
+    need exact per-key aggregates — adaptive escalation and localization
+    after a reject — call this on the chunks the window still holds; a
+    window that escalates and then localizes condenses once.
+    """
+    return functools.cache(
+        lambda: (_condense(input_chunks), _condense(output_chunks))
+    )
+
+
+def _sum_pairs(chunk):
+    """The checker's ``(0, v)`` pairs for one windowed-sum value chunk.
+
+    All pairs share key 0, so a single ``(0, Σchunk)`` pair has the same
+    table as the chunk's n pairs whenever Σchunk is exact in int64, which
+    Σ|v| < 2^63 guarantees; it hashes one key instead of n.  Chunks past
+    that bound keep their raw pairs.
+    """
+    values = _coerce_values(chunk)
+    if values.size and _magnitude_bound(values) < 1 << 63:
+        values = np.array([values.sum()], dtype=np.int64)
+    return np.zeros(values.size, dtype=np.uint64), values
+
+
 def _fold_repair(outcome, report, record, stats, repair, seed_w, output, verdict):
     """Fold a RepairOutcome into the window's record/stats/output."""
     record.report = report
@@ -486,6 +525,7 @@ def settle_reduce_window(
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
+    chunks = list(chunks)
     stream = SumCheckerStream(SumAggregationChecker(config, seed_w))
     elements = 0
     parts_k: list[np.ndarray] = []
@@ -518,8 +558,9 @@ def settle_reduce_window(
     t1 = time.perf_counter()
     op_s += t1 - t0
     stream.feed_output(out_k, out_v)
+    condensed = _condensations(chunks, [(out_k, out_v)])
     if policy is not None:
-        verdict = stream.settle_adaptive(policy, comm)
+        verdict = stream.settle_adaptive(policy, comm, sides=condensed)
     else:
         verdict = stream.settle(comm)
     t2 = time.perf_counter()
@@ -543,8 +584,7 @@ def settle_reduce_window(
                 np.arange(repair.localization_seeds, dtype=np.uint64),
             )
             report = localize_fault(
-                stream.condensed_input(),
-                stream.condensed_output(),
+                *condensed(),
                 config,
                 loc_seeds,
                 comm,
@@ -597,12 +637,15 @@ def settle_sum_window(
     elements = 0
     vals: list[np.ndarray] = []
     checker_s = 0.0
+    fed: list[tuple[np.ndarray, np.ndarray]] = []
     for chunk in chunks:
         chunk = np.asarray(chunk)
         elements += int(chunk.size)
         c0 = time.perf_counter()
-        stream.feed_input(np.zeros(chunk.shape, dtype=np.uint64), chunk)
+        pair = _sum_pairs(chunk)
+        stream.feed_input(*pair)
         checker_s += time.perf_counter() - c0
+        fed.append(pair)
         vals.append(chunk)
 
     def _operation(comm_, values):
@@ -615,13 +658,16 @@ def settle_sum_window(
 
     total = _operation(comm, _concat(vals, dtype=np.int64))
     t_op_done = time.perf_counter()
+    out_pairs = []
     if rank == 0:
-        stream.feed_output(
-            np.zeros(1, dtype=np.uint64),
-            np.array([total], dtype=np.int64),
+        out_pairs.append(
+            (np.zeros(1, dtype=np.uint64), np.array([total], dtype=np.int64))
         )
+        stream.feed_output(*out_pairs[0])
     if policy is not None:
-        verdict = stream.settle_adaptive(policy, comm)
+        verdict = stream.settle_adaptive(
+            policy, comm, sides=_condensations(fed, out_pairs)
+        )
     else:
         verdict = stream.settle(comm)
     t1 = time.perf_counter()

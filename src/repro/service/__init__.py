@@ -39,11 +39,7 @@ from repro.service.tenant import (
     TenantStats,
     TenantStatsView,
 )
-from repro.service.windows import (
-    ENGINES,
-    PoisonChunkError,
-    default_config,
-)
+from repro.service.windows import ENGINES, PoisonChunkError
 
 __all__ = [
     "BACKPRESSURE_PAUSE",
@@ -69,6 +65,5 @@ __all__ = [
     "TenantStatsView",
     "ZIP_FAULTS",
     "build_tenants",
-    "default_config",
     "run_soak",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.params import SumCheckConfig
+from repro.core.params import DEFAULT_CONFIG
 from repro.dataflow.streaming import (
     settle_reduce_window,
     settle_sum_window,
@@ -40,13 +40,7 @@ __all__ = [
     "SumWindowEngine",
     "WindowEngine",
     "ZipWindowEngine",
-    "default_config",
 ]
-
-
-def default_config() -> SumCheckConfig:
-    """The service's default checker configuration (8x16 m15)."""
-    return SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
 class PoisonChunkError(ValueError):
@@ -85,7 +79,7 @@ class WindowEngine:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.config = cfg.config or default_config()
+        self.config = cfg.config or DEFAULT_CONFIG
 
     def validate(self, chunk):
         """Return the normalized chunk or raise :class:`PoisonChunkError`."""
